@@ -8,7 +8,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use datacell::catalog::StreamCatalog;
 use datacell::factory::{Factory, FactoryOutput};
 use datacell::scheduler::Transition;
-use datacell::window::{BasicWindowAgg, ReEvalWindow, WindowSpec};
+use datacell::window::BasicWindowAgg;
+use datacell::window_join::WindowJoin;
 use datacell_baseline::{Query, Selection, TupleEngine};
 use datacell_bat::aggregate::AggFunc;
 use datacell_bat::types::Value;
@@ -103,12 +104,10 @@ fn bench_windows(c: &mut Criterion) {
             let input = cat
                 .create_basket("w", Schema::new(vec![("v".into(), DataType::Int)]))
                 .unwrap();
-            let w = ReEvalWindow::new(
+            let w = WindowJoin::compile(
                 "re",
-                "select sum(s.v) as value from [select * from w] as s",
+                &format!("select sum(w.v) as value from w [rows {size} slide {slide}]"),
                 &cat,
-                Arc::clone(&input),
-                WindowSpec::Count { size, slide },
                 FactoryOutput::Discard,
             )
             .unwrap();

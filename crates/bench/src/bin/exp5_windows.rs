@@ -15,7 +15,8 @@ use std::time::Instant;
 use datacell::catalog::StreamCatalog;
 use datacell::factory::FactoryOutput;
 use datacell::scheduler::Transition;
-use datacell::window::{BasicWindowAgg, ReEvalWindow, WindowSpec};
+use datacell::window::BasicWindowAgg;
+use datacell::window_join::WindowJoin;
 use datacell_bat::aggregate::AggFunc;
 use datacell_bat::DataType;
 use datacell_bench::{banner, f, int_stream, TablePrinter};
@@ -33,12 +34,10 @@ fn run_reeval(size: usize) -> (f64, usize) {
     let out = cat
         .create_basket("o", Schema::new(vec![("value".into(), DataType::Int)]))
         .unwrap();
-    let w = ReEvalWindow::new(
+    let w = WindowJoin::compile(
         "re",
-        "select sum(s.v) as value from [select * from w] as s",
+        &format!("select sum(w.v) as value from w [rows {size} slide {SLIDE}]"),
         &cat,
-        Arc::clone(&input),
-        WindowSpec::Count { size, slide: SLIDE },
         FactoryOutput::Basket(Arc::clone(&out)),
     )
     .unwrap();

@@ -13,9 +13,9 @@
 //! stream. A tuple is physically removed only once every registered
 //! reader's watermark has passed it: "a tuple remains in its basket until
 //! all relevant factories have seen it" (§2.5). The only positional escape
-//! hatch is [`Basket::consume_positions`], which implements the paper's
-//! basket-expression side effect (a predicate window may delete a
-//! *subset*, §2.6) for exclusively-owned baskets.
+//! hatch is [`Basket::snapshot_exclusive`] + [`Basket::consume_exclusive`],
+//! which implements the paper's basket-expression side effect (a predicate
+//! window may delete a *subset*, §2.6) for exclusively-owned baskets.
 //!
 //! Readers come in two flavours:
 //!
@@ -213,8 +213,8 @@ impl ReaderState {
 /// Anchor from [`Basket::snapshot_exclusive`]: the snapshot's position in
 /// the stream and the layout epoch it was taken under, so the matching
 /// [`Basket::consume_exclusive`] can apply snapshot-relative positions
-/// directly (fast path) or detect a layout change and fall back to the
-/// shift-corrected anchored path.
+/// directly (fast path) or detect a layout change and shift them past the
+/// rows that left the head since.
 #[derive(Debug, Clone)]
 pub struct ExclusiveAnchor {
     /// Oid of the snapshot's first row.
@@ -303,8 +303,8 @@ struct Inner {
     spill: Option<SpillState>,
     /// Durability log (attached for [`Durability::Persistent`] baskets).
     wal: Option<Arc<Wal>>,
-    /// Bumped on every head mutation (shed, trim, consume, clear, restore,
-    /// unspill) — anything that invalidates a head snapshot taken for an
+    /// Bumped on every head mutation (shed, trim, consume, clear,
+    /// restore) — anything that invalidates a head snapshot taken for an
     /// in-flight seal. [`Basket::finish_spill`] publishes its segment only
     /// if the epoch still matches; otherwise the sealed file is orphaned
     /// and deleted. Tail appends do *not* bump it.
@@ -822,8 +822,9 @@ impl Basket {
     }
 
     /// Decode the full logical contents (on-disk head then memory tail)
-    /// into one chunk, under the lock — the checkpoint image. `None` if a
-    /// segment read fails (counted; never serves a partial image).
+    /// into one chunk, under the lock — the checkpoint image and
+    /// [`Basket::snapshot`]. `None` if a segment read fails (counted; never
+    /// serves a partial image).
     fn logical_contents(&self, inner: &mut Inner) -> Option<Chunk> {
         let has_segments = inner.spill.as_ref().is_some_and(|s| !s.segments.is_empty());
         if !has_segments {
@@ -978,55 +979,6 @@ impl Basket {
         }
     }
 
-    /// Bring every spilled segment back into memory (exclusive-consumption
-    /// paths need positional access to the whole logical content). On a
-    /// decode failure nothing changes — the counted error withholds the
-    /// affected rows rather than serving a corrupt or reordered stream.
-    fn unspill_all(&self, inner: &mut Inner) {
-        let Some(spill) = inner.spill.as_ref() else {
-            return;
-        };
-        if spill.segments.is_empty() {
-            return;
-        }
-        let store = spill.store.clone();
-        let segments: Vec<SegmentMeta> = spill.segments.iter().cloned().collect();
-        let mut columns: Vec<Column> = self
-            .schema
-            .columns
-            .iter()
-            .map(|c| Column::empty(c.ty))
-            .collect();
-        for meta in &segments {
-            let chunk = match store.read_segment(meta, &self.schema) {
-                Ok(c) => c,
-                Err(e) => {
-                    inner.stats.storage_errors += 1;
-                    eprintln!("basket {}: unspill failed: {e}", self.name);
-                    return;
-                }
-            };
-            for (acc, col) in columns.iter_mut().zip(&chunk.columns) {
-                acc.append_column(col).expect("segment matches schema");
-            }
-        }
-        for (acc, col) in columns.iter_mut().zip(&inner.columns) {
-            acc.append_column(col).expect("same schema");
-        }
-        inner.columns = columns;
-        inner.base_oid = segments[0].base_oid;
-        inner.epoch += 1;
-        for meta in &segments {
-            if let Err(e) = store.delete_segment(meta) {
-                eprintln!("basket {}: deleting unspilled segment: {e}", self.name);
-            }
-        }
-        let spill = inner.spill.as_mut().expect("checked above");
-        spill.segments.clear();
-        spill.rows = 0;
-        spill.cache = None;
-    }
-
     /// Wait for the basket to change, releasing the inner lock first.
     fn wait_for_space(&self, inner: MutexGuard<'_, Inner>) {
         let seen = self.signal.version();
@@ -1043,7 +995,7 @@ impl Basket {
     /// types (the same rules as SQL `INSERT`). On a bounded basket the
     /// [`OverflowPolicy`] applies.
     pub fn append_rows(&self, rows: &[Vec<Value>]) -> Result<()> {
-        self.append_rows_inner(rows, true, true)
+        self.append_rows_inner(rows, true)
     }
 
     /// Non-waiting [`Basket::append_rows`]: a full `Block`-policy basket
@@ -1051,28 +1003,10 @@ impl Basket {
     /// blocking the caller — for scheduler-driven producers that defer and
     /// retry rather than stall the scheduling thread.
     pub fn try_append_rows(&self, rows: &[Vec<Value>]) -> Result<()> {
-        self.append_rows_inner(rows, true, false)
+        self.append_rows_inner(rows, false)
     }
 
-    /// Append rows whose values are already coerced to the column types —
-    /// the [`StreamWriter`](crate::client::StreamWriter) fast path, which
-    /// validates on `append` and must not pay a second coercion (and
-    /// string-clone) pass per tuple on flush. Arity and type tags are
-    /// still pre-checked, so a bad row fails *before* anything is pushed.
-    pub fn append_rows_prevalidated(&self, rows: &[Vec<Value>]) -> Result<()> {
-        self.append_rows_inner(rows, false, true)
-    }
-
-    /// Non-waiting [`Basket::append_rows_prevalidated`]: a full
-    /// `Block`-policy basket returns [`DataCellError::Backpressure`]
-    /// (all-or-nothing) instead of parking the caller — for writers whose
-    /// own overflow policy is non-blocking (`Reject`/`ShedOldest`), so a
-    /// racing producer can never strand them in the engine's wait loop.
-    pub fn try_append_rows_prevalidated(&self, rows: &[Vec<Value>]) -> Result<()> {
-        self.append_rows_inner(rows, false, false)
-    }
-
-    fn append_rows_inner(&self, rows: &[Vec<Value>], coerce: bool, blocking: bool) -> Result<()> {
+    fn append_rows_inner(&self, rows: &[Vec<Value>], blocking: bool) -> Result<()> {
         if rows.is_empty() {
             return Ok(());
         }
@@ -1113,26 +1047,10 @@ impl Basket {
             offset += shed;
             let ts = now_micros();
             for row in &rows[offset..offset + take] {
-                for (v, (c, cd)) in row.iter().zip(
-                    inner
-                        .columns
-                        .iter_mut()
-                        .zip(self.schema.columns.iter())
-                        .take(user_width),
-                ) {
-                    if v.is_nil() {
-                        c.push_nil();
-                    } else if coerce {
-                        let coerced = v.coerce_to(cd.ty).ok_or_else(|| {
-                            DataCellError::Wiring(format!(
-                                "basket: cannot coerce {v:?} to {}",
-                                cd.ty
-                            ))
-                        })?;
-                        c.push(&coerced)?;
-                    } else {
-                        c.push(v)?;
-                    }
+                // `Column::push` coerces (the pre-check above vouched for
+                // every value), so rows land exactly as SQL `INSERT` would.
+                for (v, c) in row.iter().zip(inner.columns.iter_mut()) {
+                    c.push(v)?;
                 }
                 inner
                     .columns
@@ -1311,16 +1229,16 @@ impl Basket {
         self.inner.lock().stats
     }
 
-    /// Snapshot the full resident contents (all columns including `ts`).
-    /// Spilled head rows are brought back into memory first so the
-    /// snapshot is the complete logical stream.
+    /// Snapshot the full resident contents (all columns including `ts`):
+    /// the complete logical stream, spilled head rows decoded into the
+    /// returned chunk only — residency never changes, so a snapshot keeps
+    /// the `Spill { mem_rows }` ceiling. A failed segment decode is
+    /// counted and serves the in-memory tail alone (never a corrupt or
+    /// reordered stream).
     pub fn snapshot(&self) -> Chunk {
         let mut inner = self.inner.lock();
-        self.unspill_all(&mut inner);
-        Chunk {
-            schema: self.schema.clone(),
-            columns: inner.columns.clone(),
-        }
+        self.logical_contents(&mut inner)
+            .unwrap_or_else(|| inner.mem_slice(&self.schema, 0, inner.mem_len()))
     }
 
     /// In-memory heap footprint in bytes (diagnostics / load shedding);
@@ -1337,98 +1255,14 @@ impl Basket {
 
     // ------------------- positional consumption (§2.6) -----------------
 
-    /// Delete the tuples at `positions` (relative to the current snapshot).
-    /// Used to apply the consumption side effect of basket expressions in
-    /// exclusively-owned baskets (a predicate window deletes a subset).
-    ///
-    /// Positions index the basket *as it is right now*: if tuples may have
-    /// been shed or trimmed since the snapshot the positions were computed
-    /// against, use [`Basket::snapshot_anchored`] +
-    /// [`Basket::consume_anchored`] instead — positional consumption after
-    /// a concurrent head-drop would delete shifted, newer tuples.
-    pub fn consume_positions(&self, positions: &Candidates) -> Result<usize> {
-        let removed;
-        {
-            let mut inner = self.inner.lock();
-            // Positions were computed against the full logical contents
-            // (snapshots stitch disk + memory), so materialize the same
-            // view before deleting by position.
-            self.unspill_all(&mut inner);
-            removed = Self::consume_in(&mut inner, positions)?;
-            if removed == 0 {
-                return Ok(0);
-            }
-        }
-        self.notify();
-        Ok(removed)
-    }
-
-    /// Snapshot the full resident contents together with the oid of the
-    /// first row — the anchor that makes a later
-    /// [`Basket::consume_anchored`] immune to concurrent head-drops
-    /// (`ShedOldest` evictions, trims) between snapshot and consumption.
-    pub fn snapshot_anchored(&self) -> (Chunk, u64) {
-        let mut inner = self.inner.lock();
-        // Exclusive consumers need positional access to the whole logical
-        // content, so the spilled head is re-materialized first.
-        self.unspill_all(&mut inner);
-        (
-            Chunk {
-                schema: self.schema.clone(),
-                columns: inner.columns.clone(),
-            },
-            inner.base_oid,
-        )
-    }
-
-    /// Delete the tuples at `positions` *relative to a snapshot whose first
-    /// row had oid `base`* (from [`Basket::snapshot_anchored`]). Positions
-    /// whose tuples were shed or trimmed after the snapshot are skipped —
-    /// they are already gone — instead of silently deleting the newer
-    /// tuples that shifted into their places. This is the at-most-once
-    /// guard for exclusive factories over `ShedOldest` inputs: a shed
-    /// *during* the factory step can no longer make post-step consumption
-    /// eat tuples the step never processed.
-    pub fn consume_anchored(&self, base: u64, positions: &Candidates) -> Result<usize> {
-        let removed;
-        {
-            let mut inner = self.inner.lock();
-            // A spill may have raced in since the anchored snapshot; the
-            // positional delete needs the whole logical content in memory.
-            self.unspill_all(&mut inner);
-            // base_oid only grows, and the snapshot's base was read under
-            // this same lock, so shift = how many snapshot rows left the
-            // head since then.
-            let shift = (inner.base_oid.saturating_sub(base)) as usize;
-            let len = inner.mem_len();
-            let translated: Vec<usize> = positions
-                .to_positions()
-                .into_iter()
-                .filter_map(|p| p.checked_sub(shift))
-                .filter(|&p| p < len)
-                .collect();
-            if translated.is_empty() {
-                return Ok(0);
-            }
-            let cands = Candidates::from_sorted_unchecked(translated);
-            removed = Self::consume_in(&mut inner, &cands)?;
-            if removed == 0 {
-                return Ok(0);
-            }
-        }
-        self.notify();
-        Ok(removed)
-    }
-
     /// Snapshot up to `budget` tuples of the logical head for exclusive
     /// consumption **without** re-materializing the spilled backlog into
-    /// the basket. [`Basket::snapshot_anchored`] unspills everything
-    /// first, so one exclusive step over a deep backlog silently broke the
-    /// `Spill { mem_rows }` memory ceiling; here spilled segments are
-    /// decoded straight into the returned chunk one at a time (transient
-    /// copies — basket residency never changes), resident rows fill the
-    /// remainder of the budget, and the boundary segment stays warm in the
-    /// one-segment cache for the matching [`Basket::consume_exclusive`].
+    /// the basket: spilled segments are decoded straight into the returned
+    /// chunk one at a time (transient copies — basket residency never
+    /// changes, so the `Spill { mem_rows }` ceiling holds), resident rows
+    /// fill the remainder of the budget, and the boundary segment stays
+    /// warm in the one-segment cache for the matching
+    /// [`Basket::consume_exclusive`].
     ///
     /// Position `p` of the returned chunk is the `p`-th logical tuple of
     /// the basket; the [`ExclusiveAnchor`] records the layout epoch so
@@ -1541,11 +1375,18 @@ impl Basket {
     /// segment whose rows are all consumed is deleted outright (no
     /// decode), a partially-consumed segment is decoded (cache-aware),
     /// its survivors re-sealed in place at the same base oid, and the
-    /// resident suffix is consumed positionally. The layout epoch guards
-    /// the ordinal mapping — appends and spill seals preserve the logical
-    /// prefix and keep the epoch, while head mutations (shed, trim,
-    /// clear, a competing consume) bump it, in which case this falls back
-    /// to the shift-corrected [`Basket::consume_anchored`] path.
+    /// resident suffix is consumed positionally. Appends past the snapshot
+    /// sit beyond its positions and are untouched.
+    ///
+    /// The layout epoch guards the ordinal mapping — appends and spill
+    /// seals preserve the logical prefix and keep the epoch, while head
+    /// mutations (shed, trim, clear, a competing consume) bump it. On a
+    /// mismatch the positions shift down by the snapshot rows that left
+    /// the head since (`head_oid - anchor.base`): positions whose tuples
+    /// were shed or trimmed are skipped — they are already gone — instead
+    /// of silently deleting the newer tuples that moved into their places.
+    /// This is the at-most-once guard for exclusive consumers over
+    /// `ShedOldest` inputs.
     ///
     /// A failed decode or re-seal keeps the affected segment intact
     /// (counted; the rows are re-delivered rather than lost — the same
@@ -1558,15 +1399,19 @@ impl Basket {
         let removed_total;
         {
             let mut inner = self.inner.lock();
-            if inner.epoch != anchor.epoch {
-                drop(inner);
-                return self.consume_anchored(anchor.base, positions);
-            }
-            let limit = anchor.rows.min(inner.total_len());
+            let shift = if inner.epoch == anchor.epoch {
+                0
+            } else {
+                // The head oid only grows, and the anchor's base was read
+                // under this same lock.
+                inner.head_oid().saturating_sub(anchor.base) as usize
+            };
+            let limit = anchor.rows.min(inner.total_len() + shift);
             let gone: Vec<usize> = positions
                 .to_positions()
                 .into_iter()
                 .filter(|&p| p < limit)
+                .filter_map(|p| p.checked_sub(shift))
                 .collect();
             if gone.is_empty() {
                 return Ok(0);
@@ -1692,13 +1537,18 @@ impl Basket {
             }
             if let Some(wal) = inner.wal.clone() {
                 // Ordinals relative to the pre-consume logical content —
-                // exactly the view a WAL replay holds at this record.
+                // exactly the view a WAL replay holds at this record. Not
+                // fsynced: losing the tail of the consume records only
+                // re-delivers (at-least-once), never loses or corrupts.
                 if let Err(e) = wal.append_consume(&walled) {
                     inner.stats.storage_errors += 1;
                     eprintln!("wal consume record failed: {e}");
                 }
             }
             inner.epoch += 1;
+            // Deleting arbitrary positions invalidates oid-density; readers
+            // and exclusive consumption are not meant to be mixed on one
+            // basket, but keep cursors sane by clamping to the new end.
             let end = inner.end_oid();
             for rs in inner.readers.values_mut() {
                 rs.cursor = rs.cursor.min(end);
@@ -1712,50 +1562,6 @@ impl Basket {
         }
         self.notify();
         Ok(removed_total)
-    }
-
-    /// Shared body of the positional-consumption paths; called with the
-    /// inner lock held (callers have unspilled first), `positions`
-    /// relative to the current residents.
-    fn consume_in(inner: &mut Inner, positions: &Candidates) -> Result<usize> {
-        let len = inner.mem_len();
-        let keep = positions.complement(len).to_positions();
-        let removed = len - keep.len();
-        if removed == 0 {
-            return Ok(0);
-        }
-        if let Some(wal) = inner.wal.clone() {
-            // Exact replay order is guaranteed by the held lock. Trim and
-            // consume records are not fsynced: losing the tail of them only
-            // re-delivers (at-least-once), never loses or corrupts.
-            let gone: Vec<usize> = positions
-                .to_positions()
-                .into_iter()
-                .filter(|&p| p < len)
-                .collect();
-            if let Err(e) = wal.append_consume(&gone) {
-                inner.stats.storage_errors += 1;
-                eprintln!("wal consume record failed: {e}");
-            }
-        }
-        for c in &mut inner.columns {
-            c.retain_positions(&keep)?;
-        }
-        // Deleting arbitrary positions invalidates oid-density; readers
-        // and exclusive consumption are not meant to be mixed on one
-        // basket, but keep cursors sane by clamping to the new end.
-        inner.base_oid += removed as u64;
-        inner.epoch += 1;
-        let end = inner.end_oid();
-        for rs in inner.readers.values_mut() {
-            rs.cursor = rs.cursor.min(end);
-            rs.inflight.retain(|&(s, _)| s < end);
-            for r in &mut rs.inflight {
-                r.1 = r.1.min(end);
-            }
-        }
-        inner.stats.consumed += removed as u64;
-        Ok(removed)
     }
 
     /// Remove every resident tuple (`basket.empty` of Algorithm 1),
@@ -1836,12 +1642,12 @@ impl Basket {
         self.inner.lock().readers.len()
     }
 
-    /// Snapshot the tuples reader `r` has not yet seen, along with the end
-    /// oid to pass to [`Basket::commit_reader`] after processing. The
-    /// cursor does not move: this is the snapshot/commit flavour for
+    /// Snapshot up to `max` tuples reader `r` has not yet seen, along with
+    /// the end oid to pass to [`Basket::commit_reader`] after processing.
+    /// The cursor does not move: this is the snapshot/commit flavour for
     /// transitions fired at most once concurrently.
-    pub fn snapshot_for_reader(&self, r: ReaderId) -> (Chunk, u64) {
-        let (chunk, _, end) = self.slice_resolving_segments(r, usize::MAX, false);
+    pub fn snapshot_for_reader(&self, r: ReaderId, max: usize) -> (Chunk, u64) {
+        let (chunk, _, end) = self.slice_resolving_segments(r, max, false);
         (chunk, end)
     }
 
@@ -2222,24 +2028,25 @@ mod tests {
         ];
         // Both paths must reject the batch before touching any column.
         assert!(b.append_rows(&rows).is_err());
-        assert!(b.append_rows_prevalidated(&rows).is_err());
+        assert!(b.try_append_rows(&rows).is_err());
         assert_eq!(b.len(), 0);
         assert_eq!(b.stats().appended, 0);
         // The basket still works and rows stay rectangular.
-        b.append_rows_prevalidated(&[vec![Value::Int(1), Value::Float(1.0)]])
+        b.try_append_rows(&[vec![Value::Int(1), Value::Float(1.0)]])
             .unwrap();
         assert_eq!(b.snapshot().row(0).unwrap().len(), 3);
     }
 
     #[test]
-    fn consume_positions_removes() {
+    fn consume_exclusive_removes_positions() {
         let b = basket();
         for i in 0..5 {
             b.append_rows(&[vec![Value::Int(i), Value::Float(0.0)]])
                 .unwrap();
         }
+        let (_, anchor) = b.snapshot_exclusive(usize::MAX);
         let n = b
-            .consume_positions(&Candidates::from_positions(vec![0, 2, 4]).unwrap())
+            .consume_exclusive(&anchor, &Candidates::from_positions(vec![0, 2, 4]).unwrap())
             .unwrap();
         assert_eq!(n, 3);
         assert_eq!(b.len(), 2);
@@ -2268,7 +2075,7 @@ mod tests {
         b.append_rows(&[vec![Value::Int(2), Value::Float(0.0)]])
             .unwrap();
 
-        let (c1, end1) = b.snapshot_for_reader(r1);
+        let (c1, end1) = b.snapshot_for_reader(r1, usize::MAX);
         assert_eq!(c1.len(), 2);
         b.commit_reader(r1, end1);
         // r2 has not read: nothing trimmed yet (§2.5).
@@ -2276,7 +2083,7 @@ mod tests {
         assert_eq!(b.pending_for(r1), 0);
         assert_eq!(b.pending_for(r2), 2);
 
-        let (c2, end2) = b.snapshot_for_reader(r2);
+        let (c2, end2) = b.snapshot_for_reader(r2, usize::MAX);
         assert_eq!(c2.len(), 2);
         b.commit_reader(r2, end2);
         // All readers have seen the tuples: basket trimmed.
@@ -2294,7 +2101,7 @@ mod tests {
         b.append_rows(&[vec![Value::Int(2), Value::Float(0.0)]])
             .unwrap();
         assert_eq!(b.pending_for(r), 1);
-        let (c, _) = b.snapshot_for_reader(r);
+        let (c, _) = b.snapshot_for_reader(r, usize::MAX);
         assert_eq!(c.columns[0].as_ints().unwrap(), &[2]);
     }
 
@@ -2305,7 +2112,7 @@ mod tests {
         let r2 = b.register_reader(true);
         b.append_rows(&[vec![Value::Int(1), Value::Float(0.0)]])
             .unwrap();
-        let (_, end) = b.snapshot_for_reader(r1);
+        let (_, end) = b.snapshot_for_reader(r1, usize::MAX);
         b.commit_reader(r1, end);
         assert_eq!(b.len(), 1);
         assert_eq!(b.reader_count(), 2);
@@ -2392,7 +2199,7 @@ mod tests {
         assert_eq!(ints(&b), vec![2, 3, 4]);
         assert_eq!(b.stats().shed, 2);
         // The reader skipped the shed tuples; it still sees the survivors.
-        let (c, end) = b.snapshot_for_reader(r);
+        let (c, end) = b.snapshot_for_reader(r, usize::MAX);
         assert_eq!(c.columns[0].as_ints().unwrap(), &[2, 3, 4]);
         b.commit_reader(r, end);
         assert!(b.is_empty());
@@ -2418,14 +2225,14 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(20));
         assert!(!writer.is_finished(), "writer must be blocked at capacity");
-        let (c, end) = b.snapshot_for_reader(r);
+        let (c, end) = b.snapshot_for_reader(r, usize::MAX);
         assert_eq!(c.len(), 2);
         b.commit_reader(r, end);
         writer.join().unwrap();
         assert_eq!(b.pending_for(r), 2, "blocked batch landed after trim");
         assert!(b.stats().overflow_events >= 1);
         let total: Vec<i64> = {
-            let (c, end) = b.snapshot_for_reader(r);
+            let (c, end) = b.snapshot_for_reader(r, usize::MAX);
             b.commit_reader(r, end);
             c.columns[0].as_ints().unwrap().to_vec()
         };
@@ -2468,14 +2275,14 @@ mod tests {
         assert!(matches!(err, DataCellError::Backpressure { .. }), "{err}");
         assert_eq!(b.len(), 1, "nothing appended");
         // Consumer drains: the retry lands (empty basket admits the batch).
-        let (_, end) = b.snapshot_for_reader(r);
+        let (_, end) = b.snapshot_for_reader(r, usize::MAX);
         b.commit_reader(r, end);
         b.try_append_chunk(&chunk).unwrap();
         assert_eq!(b.pending_for(r), 2);
     }
 
     #[test]
-    fn try_append_prevalidated_defers_instead_of_blocking() {
+    fn try_append_rows_defers_instead_of_blocking() {
         // A non-blocking writer (Reject/ShedOldest policy) that loses the
         // room-check race against another producer must get Backpressure
         // back from a full Block basket, never park in the wait loop.
@@ -2483,7 +2290,7 @@ mod tests {
         let _r = b.register_reader(true); // holds the tuple resident
         b.append_rows(&[vec![Value::Int(1)]]).unwrap();
         let err = b
-            .try_append_rows_prevalidated(&[vec![Value::Int(2)], vec![Value::Int(3)]])
+            .try_append_rows(&[vec![Value::Int(2)], vec![Value::Int(3)]])
             .unwrap_err();
         assert!(matches!(err, DataCellError::Backpressure { .. }), "{err}");
         assert_eq!(ints(&b), vec![1], "all-or-nothing: nothing appended");

@@ -1,10 +1,8 @@
 //! The typed client facade: [`DataCellBuilder`], [`StreamWriter`],
 //! [`Subscription`] and [`QueryHandle`].
 //!
-//! The paper's periphery exchanges *textual* tuples (§2.1), and the
-//! original session API mirrored that literally: raw `String` lines out of
-//! `subscribe_text`, hand-wired receptors in. This module is the typed
-//! surface above the same Figure-1 pipeline:
+//! The paper's periphery exchanges *textual* tuples (§2.1). This module
+//! is the typed surface above the same Figure-1 pipeline:
 //!
 //! ```text
 //! DataCell::builder() ──▶ DataCell
@@ -432,8 +430,8 @@ impl<T: FromValue> FromValue for Option<T> {
 }
 
 /// Deserialization of a delivered result row (`ts` already stripped);
-/// implemented for `Vec<Value>` (raw), `String` (the textual wire format —
-/// the compat mode for old `subscribe_text` users), and tuples of
+/// implemented for `Vec<Value>` (raw), `String` (the textual wire
+/// format), and tuples of
 /// [`FromValue`] types up to arity 8.
 pub trait FromRow: Sized {
     /// Decode one row.
@@ -711,20 +709,18 @@ impl StreamWriter {
                 }
             }
             let n = room.min(total - offset);
-            // Rows were validated/coerced on append; skip re-coercion. A
-            // concurrent producer may still win the race to the last slot:
-            // a Block-policy *writer* then waits inside the append, while
-            // a non-blocking writer (Reject/ShedOldest) uses the
-            // non-waiting path so the race surfaces as Backpressure and is
-            // handled by this loop — never by parking un-cancellably
-            // inside the engine (the wire receptor's stop-aware retry
-            // depends on flush returning).
+            // A concurrent producer may win the race to the last slot: a
+            // Block-policy *writer* then waits inside the append, while a
+            // non-blocking writer (Reject/ShedOldest) uses the non-waiting
+            // path so the race surfaces as Backpressure and is handled by
+            // this loop — never by parking un-cancellably inside the
+            // engine (the wire receptor's stop-aware retry depends on
+            // flush returning).
+            let rows = &self.buf[offset..offset + n];
             let append = if self.overflow == OverflowPolicy::Block {
-                self.basket
-                    .append_rows_prevalidated(&self.buf[offset..offset + n])
+                self.basket.append_rows(rows)
             } else {
-                self.basket
-                    .try_append_rows_prevalidated(&self.buf[offset..offset + n])
+                self.basket.try_append_rows(rows)
             };
             match append {
                 Ok(()) => offset += n,

@@ -414,20 +414,11 @@ impl Factory {
                     chunk
                 }
                 InputMode::Shared(r) => {
-                    let (chunk, end) = input.basket.snapshot_for_reader(r);
-                    match limit {
-                        Some(max) if chunk.len() > max => {
-                            // Serve only the prefix: the reader cursor must
-                            // commit past exactly the tuples snapshotted.
-                            let dropped = (chunk.len() - max) as u64;
-                            shared_ends.insert(name.clone(), end - dropped);
-                            chunk.head(max)?
-                        }
-                        _ => {
-                            shared_ends.insert(name.clone(), end);
-                            chunk
-                        }
-                    }
+                    let (chunk, end) = input
+                        .basket
+                        .snapshot_for_reader(r, limit.unwrap_or(usize::MAX));
+                    shared_ends.insert(name.clone(), end);
+                    chunk
                 }
             };
             tuples_in += chunk.len();
@@ -457,15 +448,7 @@ impl Factory {
         // 4. Consumption (§2.6 side effect). Appends that slipped in since
         // the snapshot sit past the snapshot positions and are untouched.
         let mut consumed = 0usize;
-        // Merge candidates per basket (a self-join of one basket reports it
-        // twice).
-        let mut merged: HashMap<&str, Candidates> = HashMap::new();
-        for (name, cands) in &outcome.consumed {
-            merged
-                .entry(name.as_str())
-                .and_modify(|c| *c = c.union(cands))
-                .or_insert_with(|| cands.clone());
-        }
+        let merged = merge_consumed(&outcome.consumed);
         for input in &self.inputs {
             let name = input.basket.name();
             match input.mode {
@@ -494,7 +477,8 @@ impl Factory {
         // 5. Control tokens: consume one per control input, then signal
         // downstream stages (the basket is in its post-consumption state).
         for c in &self.control_in {
-            c.consume_positions(&Candidates::Dense(0..1))?;
+            let (_, anchor) = c.snapshot_exclusive(1);
+            c.consume_exclusive(&anchor, &Candidates::Dense(0..1))?;
         }
         for c in &self.control_out {
             c.append_rows(&[vec![Value::Int(1)]])?;
@@ -528,6 +512,19 @@ impl Factory {
             busy_micros: self.stats.busy_micros.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Merge the consumed positions per basket: a self-join of one basket
+/// reports it once per scan.
+pub(crate) fn merge_consumed(consumed: &[(String, Candidates)]) -> HashMap<&str, Candidates> {
+    let mut merged: HashMap<&str, Candidates> = HashMap::new();
+    for (name, cands) in consumed {
+        merged
+            .entry(name.as_str())
+            .and_modify(|c| *c = c.union(cands))
+            .or_insert_with(|| cands.clone());
+    }
+    merged
 }
 
 #[cfg(test)]

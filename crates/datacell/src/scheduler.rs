@@ -549,12 +549,9 @@ impl Scheduler {
 
     /// Adjust a transition's DRR weight at runtime (clamped to ≥ 1).
     pub fn set_weight(&self, name: &str, weight: u32) -> Result<()> {
-        let entries = self.shared.entries.lock();
-        let entry = entries
-            .iter()
-            .find(|e| e.factory.name() == name)
-            .ok_or_else(|| DataCellError::Catalog(format!("unknown factory {name}")))?;
-        entry.weight.store(weight.max(1), Ordering::Relaxed);
+        self.entry(name)?
+            .weight
+            .store(weight.max(1), Ordering::Relaxed);
         Ok(())
     }
 
@@ -616,38 +613,73 @@ impl Scheduler {
     /// Pause or resume a transition by name. Paused transitions never fire;
     /// their input baskets keep accumulating tuples, so resuming processes
     /// the backlog in one bulk step (the paper's batching at its best).
+    /// Pausing is a barrier: it returns once a firing already in flight
+    /// has finished, so no step of the transition runs after it.
     pub fn set_paused(&self, name: &str, paused: bool) -> Result<()> {
-        let entries = self.shared.entries.lock();
-        let entry = entries
-            .iter()
-            .find(|e| e.factory.name() == name)
-            .ok_or_else(|| DataCellError::Catalog(format!("unknown factory {name}")))?;
-        entry.paused.store(paused, Ordering::Relaxed);
-        drop(entries);
-        if !paused {
+        let entry = self.entry(name)?;
+        if paused {
+            Self::quiesce(&self.shared, &entry);
+        } else {
+            entry.paused.store(false, Ordering::Relaxed);
             // Wake the scheduler so the backlog is drained promptly.
             self.shared.signal.notify();
         }
         Ok(())
     }
 
-    /// True iff the named transition is currently paused.
-    pub fn is_paused(&self, name: &str) -> Result<bool> {
-        let entries = self.shared.entries.lock();
-        entries
+    fn entry(&self, name: &str) -> Result<Arc<Entry>> {
+        self.shared
+            .entries
+            .lock()
             .iter()
             .find(|e| e.factory.name() == name)
-            .map(|e| e.paused.load(Ordering::Relaxed))
+            .cloned()
             .ok_or_else(|| DataCellError::Catalog(format!("unknown factory {name}")))
     }
 
-    /// Deregister a factory by name.
+    /// Stop `entry` from starting new firings, then wait out the one that
+    /// may be in flight. [`Scheduler::try_begin_firing`] re-checks `paused`
+    /// under `firing_keys`, so once the flag is set there no pass — not
+    /// even one that judged the entry ungated a moment earlier — can begin
+    /// a firing, and `firing` only falls from here on.
+    fn quiesce(shared: &Shared, entry: &Entry) {
+        {
+            let _keys = shared.firing_keys.lock();
+            entry.paused.store(true, Ordering::Relaxed);
+        }
+        loop {
+            let seen = shared.signal.version();
+            if !{
+                let _keys = shared.firing_keys.lock();
+                entry.firing.load(Ordering::Relaxed)
+            } {
+                return;
+            }
+            // `end_firing` notifies the signal.
+            shared.signal.wait_past(seen, Duration::from_millis(1));
+        }
+    }
+
+    /// True iff the named transition is currently paused.
+    pub fn is_paused(&self, name: &str) -> Result<bool> {
+        Ok(self.entry(name)?.paused.load(Ordering::Relaxed))
+    }
+
+    /// Deregister a factory by name. Like pausing, this is a barrier: it
+    /// returns once a firing in flight has finished, and a pass still
+    /// holding the old entry list cannot start another.
     pub fn remove_factory(&self, name: &str) -> Result<()> {
-        let mut entries = self.shared.entries.lock();
-        let before = entries.len();
-        entries.retain(|e| e.factory.name() != name);
-        if entries.len() == before {
+        let removed: Vec<Arc<Entry>> = {
+            let mut entries = self.shared.entries.lock();
+            let (gone, kept) = entries.drain(..).partition(|e| e.factory.name() == name);
+            *entries = kept;
+            gone
+        };
+        if removed.is_empty() {
             return Err(DataCellError::Catalog(format!("unknown factory {name}")));
+        }
+        for entry in &removed {
+            Self::quiesce(&self.shared, entry);
         }
         Ok(())
     }
@@ -692,11 +724,13 @@ impl Scheduler {
     }
 
     /// Atomically acquire `entry`'s firing flag plus its conflict keys.
-    /// False when the transition is already firing or any of its keys is
-    /// held by another in-flight firing.
+    /// False when the transition is paused, already firing, or any of its
+    /// keys is held by another in-flight firing.
     fn try_begin_firing(shared: &Shared, entry: &Entry) -> bool {
         let mut keys = shared.firing_keys.lock();
-        if entry.firing.load(Ordering::Relaxed) {
+        // Re-checked under the lock: a pause that lands between a pass's
+        // `gated` check and here must still win (see `quiesce`).
+        if entry.firing.load(Ordering::Relaxed) || entry.paused.load(Ordering::Relaxed) {
             return false;
         }
         if entry.conflicts.iter().any(|k| keys.contains(k)) {
@@ -1464,6 +1498,69 @@ mod tests {
         input.append_rows(&[vec![Value::Int(50)]]).unwrap();
         assert_eq!(sched.run_until_quiescent(10), 0);
         assert_eq!(input.len(), 1);
+    }
+
+    /// A transition that is always ready and whose step holds for a while,
+    /// counting steps begun and steps still running.
+    struct SlowStep {
+        name: String,
+        began: AtomicU64,
+        running: AtomicU64,
+    }
+
+    impl Transition for SlowStep {
+        fn name(&self) -> &str {
+            &self.name
+        }
+        fn ready(&self) -> bool {
+            true
+        }
+        fn step(&self, _tables: Option<&Catalog>) -> Result<StepOutcome> {
+            self.began.fetch_add(1, Ordering::SeqCst);
+            self.running.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(20));
+            self.running.fetch_sub(1, Ordering::SeqCst);
+            Ok(StepOutcome::default())
+        }
+        fn subscribe(&self, _signal: Arc<Signal>) {}
+    }
+
+    #[test]
+    fn pause_and_remove_wait_out_the_firing_in_flight() {
+        for remove in [false, true] {
+            let (_, sched) = setup();
+            let t = Arc::new(SlowStep {
+                name: "slow".into(),
+                began: AtomicU64::new(0),
+                running: AtomicU64::new(0),
+            });
+            sched.add_transition(
+                Arc::clone(&t) as Arc<dyn Transition>,
+                SchedulePolicy::default(),
+            );
+            sched.start();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while t.running.load(Ordering::SeqCst) == 0 {
+                assert!(Instant::now() < deadline, "never fired");
+                std::thread::yield_now();
+            }
+            // A firing is in flight: the call returns only once it ended,
+            // and no later pass starts another.
+            if remove {
+                sched.remove_factory("slow").unwrap();
+            } else {
+                sched.set_paused("slow", true).unwrap();
+            }
+            assert_eq!(t.running.load(Ordering::SeqCst), 0, "returned mid-firing");
+            let began = t.began.load(Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(50));
+            assert_eq!(
+                t.began.load(Ordering::SeqCst),
+                began,
+                "fired after the barrier"
+            );
+            sched.stop();
+        }
     }
 
     // ------------------------- parallel execution -------------------------

@@ -29,16 +29,16 @@ use datacell_sql::{parser, Schema, SqlError};
 use datacell_storage::{wal, BasketManifest, SegmentStore, WalRecord};
 use parking_lot::{Mutex, RwLock};
 
-use crate::basket::{Basket, Durability, ReaderId, TS_COLUMN};
+use crate::basket::{Basket, Durability, ExclusiveAnchor, ReaderId, TS_COLUMN};
 use crate::catalog::StreamCatalog;
 use crate::client::{
     DataCellBuilder, FromRow, OverflowPolicy, QueryHandle, StreamWriter, Subscription,
     SubscriptionMode,
 };
-use crate::emitter::{CollectSink, Emitter, RowSink, Sink, TextSink};
+use crate::emitter::{Emitter, RowSink, Sink};
 use crate::error::{DataCellError, Result};
 use crate::events::{EngineEvent, EventKind, EventRing};
-use crate::factory::{Factory, FactoryOutput};
+use crate::factory::{merge_consumed, Factory, FactoryOutput};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, NetMetricsSource, SessionMetrics};
 use crate::petri::PetriNet;
 use crate::planshare::{PlanShare, SharedNode};
@@ -59,15 +59,46 @@ pub enum CellResult {
     Plan(String),
 }
 
-/// Read-only data source over the whole stream catalog (one-time queries).
-struct CatalogSource<'a>(&'a StreamCatalog);
+/// Data source over the whole stream catalog (one-time queries). Every
+/// basket scan records the anchor of its exclusive snapshot, so the
+/// query's consumption side effect deletes exactly the tuples it saw even
+/// when a concurrent shed or trim moved the basket head in between.
+struct CatalogSource<'a> {
+    cat: &'a StreamCatalog,
+    anchors: Mutex<HashMap<String, ExclusiveAnchor>>,
+}
+
+impl<'a> CatalogSource<'a> {
+    fn new(cat: &'a StreamCatalog) -> Self {
+        CatalogSource {
+            cat,
+            anchors: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Apply the one-shot consumption of basket expressions (§2.6).
+    fn consume(&self, consumed: &[(String, Candidates)]) -> Result<()> {
+        let anchors = self.anchors.lock();
+        for (name, cands) in merge_consumed(consumed) {
+            if let Some(anchor) = anchors.get(name) {
+                self.cat.basket(name)?.consume_exclusive(anchor, &cands)?;
+            }
+        }
+        Ok(())
+    }
+}
 
 impl DataSource for CatalogSource<'_> {
     fn scan(&self, table: &str) -> datacell_bat::error::Result<Chunk> {
-        if let Ok(b) = self.0.basket(table) {
-            return Ok(b.snapshot());
+        if let Ok(b) = self.cat.basket(table) {
+            let (chunk, anchor) = b.snapshot_exclusive(usize::MAX);
+            self.anchors
+                .lock()
+                .entry(table.to_string())
+                .or_insert(anchor);
+            return Ok(chunk);
         }
-        self.0.tables.scan(table)
+        self.cat.tables.scan(table)
     }
 }
 
@@ -534,11 +565,9 @@ impl DataCell {
                 let bound = bind_query(&q, &*cat)?;
                 let optimized = datacell_sql::optimizer::optimize(bound);
                 let (plan, _) = datacell_sql::physical::plan(optimized)?;
-                let outcome = execute(&plan, &CatalogSource(&cat)).map_err(sql_err)?;
-                // One-shot consumption of basket expressions (§2.6).
-                for (basket, cands) in &outcome.consumed {
-                    cat.basket(basket)?.consume_positions(cands)?;
-                }
+                let src = CatalogSource::new(&cat);
+                let outcome = execute(&plan, &src).map_err(sql_err)?;
+                src.consume(&outcome.consumed)?;
                 Ok(CellResult::Rows(outcome.chunk))
             }
             Statement::Drop { kind, name } => match kind {
@@ -620,11 +649,9 @@ impl DataCell {
                 let bound = bind_query(&q, &*cat)?;
                 let optimized = datacell_sql::optimizer::optimize(bound);
                 let (plan, _) = datacell_sql::physical::plan(optimized)?;
-                let (outcome, stats) =
-                    execute_traced(&plan, &CatalogSource(&cat)).map_err(sql_err)?;
-                for (basket, cands) in &outcome.consumed {
-                    cat.basket(basket)?.consume_positions(cands)?;
-                }
+                let src = CatalogSource::new(&cat);
+                let (outcome, stats) = execute_traced(&plan, &src).map_err(sql_err)?;
+                src.consume(&outcome.consumed)?;
                 Ok(CellResult::Plan(plan.display_analyzed(&stats)))
             }
             Statement::ShowQueries => self.show_queries(),
@@ -1851,43 +1878,6 @@ impl DataCell {
         Ok(())
     }
 
-    /// Subscribe to a continuous query's results as text lines.
-    #[deprecated(since = "0.1.0", note = "use `subscribe::<String>` instead")]
-    pub fn subscribe_text(&self, query: &str) -> Result<crossbeam::channel::Receiver<String>> {
-        let out = self.query_output(query)?;
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let seq = self.emitter_seq.fetch_add(1, Ordering::Relaxed);
-        let name = format!("emit-text-{query}#{seq}");
-        let emitter = Emitter::spawn(name.clone(), Arc::clone(&out), TextSink::new(tx))?;
-        self.emitter_wiring
-            .lock()
-            .push((name, out.name().to_string()));
-        self.emitters
-            .lock()
-            .push((Some(query.to_string()), emitter));
-        Ok(rx)
-    }
-
-    /// Subscribe to a continuous query's results into a collector.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `subscribe::<Vec<Value>>` and `collect_n`/`drain` instead"
-    )]
-    pub fn subscribe_collect(&self, query: &str) -> Result<CollectSink> {
-        let out = self.query_output(query)?;
-        let sink = CollectSink::new();
-        let seq = self.emitter_seq.fetch_add(1, Ordering::Relaxed);
-        let name = format!("emit-collect-{query}#{seq}");
-        let emitter = Emitter::spawn(name.clone(), Arc::clone(&out), sink.clone())?;
-        self.emitter_wiring
-            .lock()
-            .push((name, out.name().to_string()));
-        self.emitters
-            .lock()
-            .push((Some(query.to_string()), emitter));
-        Ok(sink)
-    }
-
     /// Start the scheduler thread.
     pub fn start(&self) {
         self.scheduler.start();
@@ -1925,10 +1915,15 @@ impl DataCell {
         net
     }
 
-    /// Delete the rows of `basket` matching positions (programmatic
-    /// consumption used by tests).
+    /// Delete the rows of `basket` at `cands`, positions into its current
+    /// logical contents (programmatic consumption used by tests).
     pub fn consume(&self, basket: &str, cands: &Candidates) -> Result<usize> {
-        self.basket(basket)?.consume_positions(cands)
+        let b = self.basket(basket)?;
+        let Some(last) = cands.len().checked_sub(1).and_then(|i| cands.get(i)) else {
+            return Ok(0);
+        };
+        let (_, anchor) = b.snapshot_exclusive(last + 1);
+        b.consume_exclusive(&anchor, cands)
     }
 }
 

@@ -3,12 +3,14 @@
 //! "Following the DataCell approach, our goal is not to rebuild a new
 //! special class of windowed operators. Instead, we study a scheme that
 //! achieves window processing based on careful high level scheduling and
-//! dynamic query plan rewriting." Both evaluators below are scheduler
+//! dynamic query plan rewriting." Both window evaluators are scheduler
 //! transitions that buffer the stream in ordinary columns and invoke
 //! ordinary relational plans/kernels:
 //!
-//! * [`ReEvalWindow`] — the re-evaluation route: when a window is complete,
-//!   the factory's full (unchanged!) query plan runs over the whole window;
+//! * re-evaluation — [`WindowJoin`](crate::window_join::WindowJoin), the
+//!   one engine behind every SQL window clause (`FROM w [ROWS 4 SLIDE 2]`,
+//!   `[RANGE 10us SLIDE 5us]`), single-stream windows included: when a
+//!   window is complete, the query's full (unchanged!) plan runs over it;
 //!   the window then slides and expired tuples are dropped. O(window) work
 //!   per slide.
 //! * [`BasicWindowAgg`] — the incremental route following the basic-window
@@ -30,15 +32,13 @@ use std::sync::Arc;
 use datacell_bat::aggregate::{Accumulator, AggFunc};
 use datacell_bat::candidates::Candidates;
 use datacell_bat::types::{DataType, Value};
-use datacell_engine::{execute, Catalog, Chunk};
-use datacell_sql::physical::PhysicalPlan;
+use datacell_engine::Catalog;
 use datacell_sql::Schema;
 use parking_lot::Mutex;
 
 use crate::basket::{Basket, ReaderId, Signal};
-use crate::catalog::{StepSource, StreamCatalog};
 use crate::error::{DataCellError, Result};
-use crate::factory::{FactoryOutput, StepOutcome};
+use crate::factory::StepOutcome;
 use crate::scheduler::Transition;
 
 /// Window shape.
@@ -77,323 +77,6 @@ impl WindowSpec {
                 "invalid window spec {self:?}: size and slide must be positive, slide <= size"
             )))
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Re-evaluation
-// ---------------------------------------------------------------------
-
-struct ReEvalState {
-    /// Buffered stream tuples (input basket schema, `ts` last).
-    buffer: Chunk,
-    /// Start of the current window (time-based only).
-    window_start: Option<i64>,
-}
-
-/// Re-evaluation window processor (see module docs).
-pub struct ReEvalWindow {
-    name: String,
-    input: Arc<Basket>,
-    /// Registered reader on `input`: the evaluator consumes through the
-    /// unified cursor discipline, so it can share the basket with other
-    /// readers instead of destructively draining it.
-    reader: ReaderId,
-    plan: PhysicalPlan,
-    spec: WindowSpec,
-    output: FactoryOutput,
-    state: Mutex<ReEvalState>,
-    windows_evaluated: AtomicU64,
-}
-
-impl ReEvalWindow {
-    /// Compile `sql` (a continuous query whose single basket expression
-    /// consumes `input`) into a re-evaluation window processor. Each
-    /// complete window is evaluated by the *unchanged* plan over the window
-    /// contents.
-    pub fn new(
-        name: impl Into<String>,
-        sql: &str,
-        catalog: &StreamCatalog,
-        input: Arc<Basket>,
-        spec: WindowSpec,
-        output: FactoryOutput,
-    ) -> Result<ReEvalWindow> {
-        spec.validate()?;
-        let (plan, _) = datacell_sql::compile_query(sql, catalog)?;
-        let consumed = plan.consumed_baskets();
-        if consumed != vec![input.name().to_string()] {
-            return Err(DataCellError::Wiring(format!(
-                "window query must consume exactly [{}], consumes {consumed:?}",
-                input.name()
-            )));
-        }
-        let reader = input.register_reader(true);
-        Ok(ReEvalWindow {
-            name: name.into(),
-            input,
-            reader,
-            plan,
-            spec,
-            output,
-            state: Mutex::new(ReEvalState {
-                buffer: Chunk::empty(Schema::default()),
-                window_start: None,
-            }),
-            windows_evaluated: AtomicU64::new(0),
-        })
-    }
-
-    /// Number of full window evaluations so far.
-    pub fn windows_evaluated(&self) -> u64 {
-        self.windows_evaluated.load(Ordering::Relaxed)
-    }
-
-    /// Run the unchanged plan over one complete window, returning its
-    /// result rows (delivery happens once per step, after every window of
-    /// the step has evaluated).
-    fn evaluate_window(&self, window: &Chunk, tables: Option<&Catalog>) -> Result<Chunk> {
-        let mut snapshots = std::collections::HashMap::new();
-        snapshots.insert(self.input.name().to_string(), window.clone());
-        let src = StepSource {
-            snapshots: &snapshots,
-            tables,
-        };
-        Ok(execute(&self.plan, &src)?.chunk)
-    }
-
-    /// Declare the input stream quiescent and close the remaining
-    /// window(s) at the horizon, draining the buffer.
-    ///
-    /// Online, a time window only closes when a tuple at/after its end
-    /// arrives *on this stream* — arrival order bounds the stream's own
-    /// timestamps, nothing else does. A stream that goes quiescent
-    /// therefore never closes its last window and the buffered tail is
-    /// never evaluated. Deciding quiescence online would need a timeout
-    /// oracle, so the close is explicit: `flush` evaluates every window
-    /// holding buffered tuples as if the stream had ended. A tuple
-    /// arriving afterwards below the flushed horizon is dropped — the
-    /// caller owns that soundness trade (see `docs/windows.md`).
-    ///
-    /// Count-based windows close on arrival count and never stall, but
-    /// for symmetry `flush` also evaluates their trailing partial window.
-    /// Follows the step discipline: deliver first, commit only on success.
-    pub fn flush(&self, tables: Option<&Catalog>) -> Result<StepOutcome> {
-        let (incoming, end) = self.input.snapshot_for_reader(self.reader);
-        let tuples_in = incoming.len();
-        let mut state = self.state.lock();
-        let mut buffer = if state.buffer.schema.is_empty() {
-            Chunk::empty(incoming.schema.clone())
-        } else {
-            state.buffer.clone()
-        };
-        buffer.append(&incoming)?;
-        let mut window_start = state.window_start;
-
-        let mut produced = 0;
-        let mut windows_run = 0;
-        let mut out: Option<Chunk> = None;
-        match self.spec {
-            WindowSpec::Count { size, slide } => {
-                while !buffer.is_empty() {
-                    let window = buffer.head(size.min(buffer.len()))?;
-                    let result = self.evaluate_window(&window, tables)?;
-                    produced += result.len();
-                    windows_run += 1;
-                    match &mut out {
-                        None => out = Some(result),
-                        Some(o) => o.append(&result)?,
-                    }
-                    let remaining = buffer.len();
-                    buffer = buffer.gather(&Candidates::Dense(slide.min(remaining)..remaining))?;
-                }
-            }
-            WindowSpec::Time {
-                size_micros,
-                slide_micros,
-            } => {
-                let ts_idx = buffer.schema.len() - 1;
-                while !buffer.is_empty() {
-                    let ts = buffer.columns[ts_idx].as_timestamps()?.to_vec();
-                    let w_start = window_start.unwrap_or(ts[0]);
-                    let w_end = w_start + size_micros;
-                    let in_window: Vec<usize> = ts
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &t)| t >= w_start && t < w_end)
-                        .map(|(i, _)| i)
-                        .collect();
-                    if in_window.is_empty() {
-                        // A gap: jump to the first window that can hold the
-                        // oldest buffered tuple instead of grinding through
-                        // gap/slide empty evaluations.
-                        let first = ts[0];
-                        let n = ((first - w_start - size_micros) / slide_micros + 1).max(1);
-                        window_start = Some(w_start + n * slide_micros);
-                        continue;
-                    }
-                    let window = buffer.gather(&Candidates::from_sorted_unchecked(in_window))?;
-                    let result = self.evaluate_window(&window, tables)?;
-                    produced += result.len();
-                    windows_run += 1;
-                    match &mut out {
-                        None => out = Some(result),
-                        Some(o) => o.append(&result)?,
-                    }
-                    let new_start = w_start + slide_micros;
-                    window_start = Some(new_start);
-                    let keep: Vec<usize> = ts
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &t)| t >= new_start)
-                        .map(|(i, _)| i)
-                        .collect();
-                    buffer = buffer.gather(&Candidates::from_sorted_unchecked(keep))?;
-                }
-            }
-        }
-
-        if let Some(chunk) = &out {
-            match &self.output {
-                FactoryOutput::Basket(b) => b.try_append_chunk(chunk)?,
-                FactoryOutput::BasketCarryTs(b) => b.try_append_chunk_carry_ts(chunk)?,
-                FactoryOutput::Discard => {}
-            }
-        }
-        state.buffer = buffer;
-        state.window_start = window_start;
-        drop(state);
-        self.windows_evaluated
-            .fetch_add(windows_run, Ordering::Relaxed);
-        self.input.commit_reader(self.reader, end);
-        Ok(StepOutcome {
-            tuples_in,
-            consumed: tuples_in,
-            produced,
-        })
-    }
-}
-
-impl Transition for ReEvalWindow {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn ready(&self) -> bool {
-        self.input.pending_for(self.reader) > 0
-    }
-
-    fn step(&self, tables: Option<&Catalog>) -> Result<StepOutcome> {
-        // Snapshot without committing: all window evaluation below runs on
-        // a *working copy* of the buffer, and results are delivered in one
-        // non-waiting append. Only on success do the working state and the
-        // reader cursor commit — a full bounded output (Backpressure)
-        // therefore defers the whole step losslessly.
-        let (incoming, end) = self.input.snapshot_for_reader(self.reader);
-        let tuples_in = incoming.len();
-        let mut state = self.state.lock();
-        let mut buffer = if state.buffer.schema.is_empty() {
-            Chunk::empty(incoming.schema.clone())
-        } else {
-            state.buffer.clone()
-        };
-        buffer.append(&incoming)?;
-        let mut window_start = state.window_start;
-
-        let mut produced = 0;
-        let mut windows_run = 0;
-        let mut out: Option<Chunk> = None;
-        match self.spec {
-            WindowSpec::Count { size, slide } => {
-                while buffer.len() >= size {
-                    let window = buffer.head(size)?;
-                    let result = self.evaluate_window(&window, tables)?;
-                    produced += result.len();
-                    windows_run += 1;
-                    match &mut out {
-                        None => out = Some(result),
-                        Some(o) => o.append(&result)?,
-                    }
-                    // Slide: drop the oldest `slide` tuples.
-                    let remaining = buffer.len();
-                    buffer = buffer.gather(&Candidates::Dense(slide..remaining))?;
-                }
-            }
-            WindowSpec::Time {
-                size_micros,
-                slide_micros,
-            } => {
-                let ts_idx = buffer.schema.len() - 1;
-                loop {
-                    if buffer.is_empty() {
-                        break;
-                    }
-                    let ts = buffer.columns[ts_idx].as_timestamps()?.to_vec();
-                    let w_start = match window_start {
-                        Some(s) => s,
-                        None => {
-                            let s = ts[0];
-                            window_start = Some(s);
-                            s
-                        }
-                    };
-                    let w_end = w_start + size_micros;
-                    // The window is complete once a tuple at/after its end
-                    // has arrived (arrival-ordered ts).
-                    if ts.last().copied().unwrap_or(i64::MIN) < w_end {
-                        break;
-                    }
-                    let in_window: Vec<usize> = ts
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &t)| t >= w_start && t < w_end)
-                        .map(|(i, _)| i)
-                        .collect();
-                    let window = buffer.gather(&Candidates::from_sorted_unchecked(in_window))?;
-                    let result = self.evaluate_window(&window, tables)?;
-                    produced += result.len();
-                    windows_run += 1;
-                    match &mut out {
-                        None => out = Some(result),
-                        Some(o) => o.append(&result)?,
-                    }
-                    // Slide and expire.
-                    let new_start = w_start + slide_micros;
-                    window_start = Some(new_start);
-                    let keep: Vec<usize> = ts
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &t)| t >= new_start)
-                        .map(|(i, _)| i)
-                        .collect();
-                    buffer = buffer.gather(&Candidates::from_sorted_unchecked(keep))?;
-                }
-            }
-        }
-
-        // Deliver every window's results in one batch; only then commit.
-        if let Some(chunk) = &out {
-            match &self.output {
-                FactoryOutput::Basket(b) => b.try_append_chunk(chunk)?,
-                FactoryOutput::BasketCarryTs(b) => b.try_append_chunk_carry_ts(chunk)?,
-                FactoryOutput::Discard => {}
-            }
-        }
-        state.buffer = buffer;
-        state.window_start = window_start;
-        drop(state);
-        self.windows_evaluated
-            .fetch_add(windows_run, Ordering::Relaxed);
-        self.input.commit_reader(self.reader, end);
-        Ok(StepOutcome {
-            tuples_in,
-            consumed: tuples_in,
-            produced,
-        })
-    }
-
-    fn subscribe(&self, signal: Arc<Signal>) {
-        self.input.set_parent_signal(signal);
     }
 }
 
@@ -528,8 +211,11 @@ impl Transition for BasicWindowAgg {
         // Snapshot without committing; fold into a *working copy* of the
         // summaries and deliver all completed windows in one non-waiting
         // append — only on success do the state and cursor commit, so a
-        // full bounded output defers the step losslessly.
-        let (incoming, end) = self.input.snapshot_for_reader(self.reader);
+        // full bounded output defers the step losslessly. The snapshot is
+        // taken under the state lock so two racing steps cannot fold the
+        // same uncommitted tuples twice.
+        let mut state = self.state.lock();
+        let (incoming, end) = self.input.snapshot_for_reader(self.reader, usize::MAX);
         let tuples_in = incoming.len();
         if tuples_in == 0 {
             return Ok(StepOutcome::default());
@@ -551,7 +237,6 @@ impl Transition for BasicWindowAgg {
             }
         };
         let col = &incoming.columns[self.column];
-        let mut state = self.state.lock();
         let mut work = state.clone();
         let mut out: Vec<Vec<Value>> = Vec::new();
         for i in 0..tuples_in {
@@ -598,7 +283,11 @@ pub fn agg_output_schema(func: AggFunc, input_ty: DataType) -> Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::StreamCatalog;
+    use crate::factory::FactoryOutput;
+    use crate::window_join::WindowJoin;
     use datacell_bat::types::Value;
+    use datacell_engine::Chunk;
     use datacell_sql::Schema;
 
     fn setup() -> (StreamCatalog, Arc<Basket>, Arc<Basket>) {
@@ -612,9 +301,40 @@ mod tests {
         (cat, input, out)
     }
 
+    /// A second input/output pair for the incremental evaluator.
+    fn inc_pair(cat: &mut StreamCatalog) -> (Arc<Basket>, Arc<Basket>) {
+        let input = cat
+            .create_basket("w2", Schema::new(vec![("v".into(), DataType::Int)]))
+            .unwrap();
+        let out = cat
+            .create_basket("iout", Schema::new(vec![("value".into(), DataType::Int)]))
+            .unwrap();
+        (input, out)
+    }
+
+    /// The re-evaluation window over `w`: `sql` with the window in SQL.
+    fn reeval(cat: &StreamCatalog, sql: &str, out: &Arc<Basket>) -> WindowJoin {
+        WindowJoin::compile("re", sql, cat, FactoryOutput::Basket(Arc::clone(out))).unwrap()
+    }
+
     fn push(b: &Basket, vals: &[i64]) {
         let rows: Vec<Vec<Value>> = vals.iter().map(|&v| vec![Value::Int(v)]).collect();
         b.append_rows(&rows).unwrap();
+    }
+
+    /// A `(v, ts)` chunk with hand-stamped timestamps.
+    fn stamped(vals: &[(i64, i64)]) -> Chunk {
+        Chunk::new(
+            Schema::new(vec![
+                ("v".into(), DataType::Int),
+                ("ts".into(), DataType::Timestamp),
+            ]),
+            vec![
+                datacell_bat::Column::from_ints(vals.iter().map(|x| x.0).collect()),
+                datacell_bat::Column::from_timestamps(vals.iter().map(|x| x.1).collect()),
+            ],
+        )
+        .unwrap()
     }
 
     fn out_values(b: &Basket) -> Vec<i64> {
@@ -624,15 +344,7 @@ mod tests {
     #[test]
     fn reeval_tumbling_count_sums() {
         let (cat, input, out) = setup();
-        let w = ReEvalWindow::new(
-            "sumw",
-            "select sum(s.v) as value from [select * from w] as s",
-            &cat,
-            Arc::clone(&input),
-            WindowSpec::Count { size: 3, slide: 3 },
-            FactoryOutput::Basket(Arc::clone(&out)),
-        )
-        .unwrap();
+        let w = reeval(&cat, "select sum(w.v) as value from w [rows 3]", &out);
         push(&input, &[1, 2, 3, 4, 5, 6, 7]);
         assert!(w.ready());
         let o = w.step(None).unwrap();
@@ -648,15 +360,11 @@ mod tests {
     #[test]
     fn reeval_sliding_count_overlaps() {
         let (cat, input, out) = setup();
-        let w = ReEvalWindow::new(
-            "sumw",
-            "select sum(s.v) as value from [select * from w] as s",
+        let w = reeval(
             &cat,
-            Arc::clone(&input),
-            WindowSpec::Count { size: 4, slide: 2 },
-            FactoryOutput::Basket(Arc::clone(&out)),
-        )
-        .unwrap();
+            "select sum(w.v) as value from w [rows 4 slide 2]",
+            &out,
+        );
         push(&input, &[1, 2, 3, 4, 5, 6, 7, 8]);
         w.step(None).unwrap();
         // Windows: [1..4]=10, [3..6]=18, [5..8]=26.
@@ -666,10 +374,8 @@ mod tests {
     #[test]
     fn reeval_window_with_predicate_and_groupby() {
         // Full query reuse: the window plan may be any SQL.
-        let (cat, input, out) = setup();
-        let _ = out;
-        let mut cat = cat;
-        let out2 = cat
+        let (mut cat, input, _) = setup();
+        let out = cat
             .create_basket(
                 "gout",
                 Schema::new(vec![
@@ -678,19 +384,15 @@ mod tests {
                 ]),
             )
             .unwrap();
-        let w = ReEvalWindow::new(
-            "grp",
-            "select s.v % 2 as k, count(*) as n from [select * from w] as s \
-             where s.v > 0 group by s.v % 2 order by k",
+        let w = reeval(
             &cat,
-            Arc::clone(&input),
-            WindowSpec::Count { size: 4, slide: 4 },
-            FactoryOutput::Basket(Arc::clone(&out2)),
-        )
-        .unwrap();
+            "select w.v % 2 as k, count(*) as n from w [rows 4] \
+             where w.v > 0 group by w.v % 2 order by k",
+            &out,
+        );
         push(&input, &[1, 2, 3, 4]);
         w.step(None).unwrap();
-        let snap = out2.snapshot();
+        let snap = out.snapshot();
         assert_eq!(snap.columns[0].as_ints().unwrap(), &[0, 1]);
         assert_eq!(snap.columns[1].as_ints().unwrap(), &[2, 2]);
     }
@@ -698,40 +400,15 @@ mod tests {
     #[test]
     fn reeval_time_window() {
         let (cat, input, out) = setup();
-        let w = ReEvalWindow::new(
-            "sumw",
-            "select sum(s.v) as value from [select * from w] as s",
-            &cat,
-            Arc::clone(&input),
-            WindowSpec::Time {
-                size_micros: 1000,
-                slide_micros: 1000,
-            },
-            FactoryOutput::Basket(Arc::clone(&out)),
-        )
-        .unwrap();
-        // Hand-stamp timestamps by appending a chunk with a ts column.
-        let mk = |vals: &[(i64, i64)]| {
-            Chunk::new(
-                Schema::new(vec![
-                    ("v".into(), DataType::Int),
-                    ("ts".into(), DataType::Timestamp),
-                ]),
-                vec![
-                    datacell_bat::Column::from_ints(vals.iter().map(|x| x.0).collect()),
-                    datacell_bat::Column::from_timestamps(vals.iter().map(|x| x.1).collect()),
-                ],
-            )
-            .unwrap()
-        };
+        let w = reeval(&cat, "select sum(w.v) as value from w [range 1000us]", &out);
         input
-            .append_chunk_carry_ts(&mk(&[(1, 0), (2, 500), (3, 999), (4, 1200)]))
+            .append_chunk_carry_ts(&stamped(&[(1, 0), (2, 500), (3, 999), (4, 1200)]))
             .unwrap();
         w.step(None).unwrap();
         // Window [0, 1000) is complete (tuple at 1200 arrived): 1+2+3.
         assert_eq!(out_values(&out), vec![6]);
         // Tuple at 1200 is buffered for the next window.
-        input.append_chunk_carry_ts(&mk(&[(5, 2100)])).unwrap();
+        input.append_chunk_carry_ts(&stamped(&[(5, 2100)])).unwrap();
         w.step(None).unwrap();
         assert_eq!(out_values(&out), vec![6, 4]);
     }
@@ -739,25 +416,13 @@ mod tests {
     #[test]
     fn basic_window_matches_reevaluation() {
         // The §3.1 correctness claim: incremental == re-evaluation.
-        let (cat, input, out) = setup();
-        let reeval_out = out;
-        let mut cat = cat;
-        let inc_input = cat
-            .create_basket("w2", Schema::new(vec![("v".into(), DataType::Int)]))
-            .unwrap();
-        let inc_out = cat
-            .create_basket("iout", Schema::new(vec![("value".into(), DataType::Int)]))
-            .unwrap();
-
-        let reeval = ReEvalWindow::new(
-            "re",
-            "select sum(s.v) as value from [select * from w] as s",
+        let (mut cat, input, reeval_out) = setup();
+        let (inc_input, inc_out) = inc_pair(&mut cat);
+        let re = reeval(
             &cat,
-            Arc::clone(&input),
-            WindowSpec::Count { size: 6, slide: 2 },
-            FactoryOutput::Basket(Arc::clone(&reeval_out)),
-        )
-        .unwrap();
+            "select sum(w.v) as value from w [rows 6 slide 2]",
+            &reeval_out,
+        );
         let inc = BasicWindowAgg::new(
             "inc",
             Arc::clone(&inc_input),
@@ -773,7 +438,7 @@ mod tests {
         let data: Vec<i64> = (0..40).map(|i| (i * 13) % 17).collect();
         push(&input, &data);
         push(&inc_input, &data);
-        reeval.step(None).unwrap();
+        re.step(None).unwrap();
         inc.step(None).unwrap();
         assert_eq!(out_values(&reeval_out), out_values(&inc_out));
         assert!(inc.windows_emitted() > 0);
@@ -781,23 +446,13 @@ mod tests {
 
     #[test]
     fn basic_window_with_filter_matches_reevaluation() {
-        let (cat, input, reeval_out) = setup();
-        let mut cat = cat;
-        let inc_input = cat
-            .create_basket("w2", Schema::new(vec![("v".into(), DataType::Int)]))
-            .unwrap();
-        let inc_out = cat
-            .create_basket("iout", Schema::new(vec![("value".into(), DataType::Int)]))
-            .unwrap();
-        let reeval = ReEvalWindow::new(
-            "re",
-            "select sum(s.v) as value from [select * from w] as s where s.v between 3 and 12",
+        let (mut cat, input, reeval_out) = setup();
+        let (inc_input, inc_out) = inc_pair(&mut cat);
+        let re = reeval(
             &cat,
-            Arc::clone(&input),
-            WindowSpec::Count { size: 4, slide: 2 },
-            FactoryOutput::Basket(Arc::clone(&reeval_out)),
-        )
-        .unwrap();
+            "select sum(w.v) as value from w [rows 4 slide 2] where w.v between 3 and 12",
+            &reeval_out,
+        );
         let inc = BasicWindowAgg::new(
             "inc",
             Arc::clone(&inc_input),
@@ -816,22 +471,15 @@ mod tests {
         let data: Vec<i64> = (0..30).map(|i| (i * 7) % 20).collect();
         push(&input, &data);
         push(&inc_input, &data);
-        reeval.step(None).unwrap();
+        re.step(None).unwrap();
         inc.step(None).unwrap();
         assert_eq!(out_values(&reeval_out), out_values(&inc_out));
     }
 
     #[test]
     fn basic_window_min_max_work_via_summaries() {
-        let (cat, input, _) = setup();
-        let mut cat = cat;
-        let _ = input;
-        let inc_input = cat
-            .create_basket("w3", Schema::new(vec![("v".into(), DataType::Int)]))
-            .unwrap();
-        let inc_out = cat
-            .create_basket("mout", Schema::new(vec![("value".into(), DataType::Int)]))
-            .unwrap();
+        let (mut cat, _, _) = setup();
+        let (inc_input, inc_out) = inc_pair(&mut cat);
         let inc = BasicWindowAgg::new(
             "mx",
             Arc::clone(&inc_input),
@@ -852,15 +500,8 @@ mod tests {
     #[test]
     fn bounded_output_defers_window_step_losslessly() {
         use crate::basket::OverflowPolicy;
-        let (cat, input, _) = setup();
-        let mut cat = cat;
-        let _ = input;
-        let inc_input = cat
-            .create_basket("wb", Schema::new(vec![("v".into(), DataType::Int)]))
-            .unwrap();
-        let inc_out = cat
-            .create_basket("bout", Schema::new(vec![("value".into(), DataType::Int)]))
-            .unwrap();
+        let (mut cat, _, _) = setup();
+        let (inc_input, inc_out) = inc_pair(&mut cat);
         let inc = BasicWindowAgg::new(
             "inc",
             Arc::clone(&inc_input),
@@ -890,37 +531,13 @@ mod tests {
     #[test]
     fn flush_closes_idle_stream_window_at_horizon() {
         let (cat, input, out) = setup();
-        let w = ReEvalWindow::new(
-            "sumw",
-            "select sum(s.v) as value from [select * from w] as s",
-            &cat,
-            Arc::clone(&input),
-            WindowSpec::Time {
-                size_micros: 1000,
-                slide_micros: 1000,
-            },
-            FactoryOutput::Basket(Arc::clone(&out)),
-        )
-        .unwrap();
-        let mk = |vals: &[(i64, i64)]| {
-            Chunk::new(
-                Schema::new(vec![
-                    ("v".into(), DataType::Int),
-                    ("ts".into(), DataType::Timestamp),
-                ]),
-                vec![
-                    datacell_bat::Column::from_ints(vals.iter().map(|x| x.0).collect()),
-                    datacell_bat::Column::from_timestamps(vals.iter().map(|x| x.1).collect()),
-                ],
-            )
-            .unwrap()
-        };
+        let w = reeval(&cat, "select sum(w.v) as value from w [range 1000us]", &out);
         // The stream goes quiescent mid-window: no tuple at/after 1000
         // ever arrives, so stepping can never close the window (the
         // online trigger is sound only because a later tuple on the same
         // stream bounds its timestamps).
         input
-            .append_chunk_carry_ts(&mk(&[(1, 0), (2, 400), (3, 900)]))
+            .append_chunk_carry_ts(&stamped(&[(1, 0), (2, 400), (3, 900)]))
             .unwrap();
         w.step(None).unwrap();
         assert_eq!(w.windows_evaluated(), 0, "window must not close online");
@@ -934,7 +551,7 @@ mod tests {
         assert_eq!(out_values(&out), vec![6]);
         // The stream may resume afterwards; later windows keep working.
         input
-            .append_chunk_carry_ts(&mk(&[(7, 1500), (8, 2600)]))
+            .append_chunk_carry_ts(&stamped(&[(7, 1500), (8, 2600)]))
             .unwrap();
         w.step(None).unwrap();
         assert_eq!(out_values(&out), vec![6, 7]);
@@ -943,15 +560,15 @@ mod tests {
     #[test]
     fn invalid_specs_rejected() {
         let (cat, input, out) = setup();
-        assert!(ReEvalWindow::new(
-            "bad",
-            "select sum(s.v) as value from [select * from w] as s",
-            &cat,
-            Arc::clone(&input),
-            WindowSpec::Count { size: 0, slide: 0 },
-            FactoryOutput::Discard,
-        )
-        .is_err());
+        for bad in [
+            "select sum(w.v) as value from w [rows 0]",
+            "select sum(w.v) as value from w [rows 2 slide 3]",
+        ] {
+            assert!(
+                WindowJoin::compile("bad", bad, &cat, FactoryOutput::Discard).is_err(),
+                "{bad}"
+            );
+        }
         assert!(BasicWindowAgg::new(
             "bad",
             Arc::clone(&input),
@@ -971,15 +588,8 @@ mod tests {
     #[test]
     fn incremental_spreads_work_across_steps() {
         // Feeding slide-by-slide emits one window per step once warm.
-        let (cat, input, _) = setup();
-        let mut cat = cat;
-        let _ = (cat.basket_names(), input);
-        let inc_input = cat
-            .create_basket("w4", Schema::new(vec![("v".into(), DataType::Int)]))
-            .unwrap();
-        let inc_out = cat
-            .create_basket("sout", Schema::new(vec![("value".into(), DataType::Int)]))
-            .unwrap();
+        let (mut cat, _, _) = setup();
+        let (inc_input, inc_out) = inc_pair(&mut cat);
         let inc = BasicWindowAgg::new(
             "s",
             Arc::clone(&inc_input),

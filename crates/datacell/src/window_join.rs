@@ -1,12 +1,14 @@
-//! Cross-stream windowed joins — per-source window specs, ordinary kernels.
+//! The window engine — per-source window specs, ordinary kernels.
 //!
-//! The DataCell thesis (§3.1) extends to joins unchanged: a windowed join
-//! needs *no* new streaming operator. [`WindowJoin`] is a scheduler
-//! transition that buffers each input stream in ordinary columns behind a
-//! registered reader cursor, pairs up the per-source windows in lockstep,
-//! and evaluates each pairing by handing the window chunks to the
-//! *unchanged* compiled plan — the same monomorphized hash-join kernels the
-//! one-shot path uses.
+//! The DataCell thesis (§3.1): a windowed query needs *no* new streaming
+//! operator. [`WindowJoin`] is the scheduler transition behind every SQL
+//! window clause, for one stream (`FROM w [ROWS 4 SLIDE 2]`) or several
+//! joined ones (`FROM s1 [ROWS 3], s2 [RANGE 10s] WHERE ...`). It buffers
+//! each input stream in ordinary columns behind a registered reader
+//! cursor, pairs up the per-source windows in lockstep, and evaluates each
+//! pairing by handing the window chunks to the *unchanged* compiled plan —
+//! the same monomorphized kernels (hash joins included) the one-shot path
+//! uses. A single-stream window is simply the one-side case.
 //!
 //! Pairing semantics: evaluation `k` joins window `k` of every source,
 //! where window `k` of a source with spec `(size, slide)` is
@@ -34,7 +36,7 @@
 //! arriving after a flushed window is silently dropped, which is exactly
 //! the soundness gap the explicit call makes the caller own.
 //!
-//! The step discipline mirrors [`crate::window::ReEvalWindow`]: snapshot
+//! The step discipline is the factories' deliver-before-consume: snapshot
 //! all readers without committing, work on copies, deliver every result of
 //! the step in one non-waiting append, and only then commit state and
 //! cursors — a full bounded output defers the whole step losslessly.
@@ -86,7 +88,7 @@ struct JoinState {
     anchor: Option<i64>,
 }
 
-/// Cross-stream windowed join transition (see module docs).
+/// Windowed query transition over one or more streams (see module docs).
 pub struct WindowJoin {
     name: String,
     plan: PhysicalPlan,
@@ -116,6 +118,19 @@ fn to_runtime_spec(w: &datacell_sql::ast::WindowSpec) -> Result<WindowSpec> {
 }
 
 impl WindowJoin {
+    /// Compile a windowed continuous query — every stream source carries
+    /// a window clause — into a window transition (the windowed
+    /// counterpart of [`Factory::compile`](crate::factory::Factory::compile)).
+    pub fn compile(
+        name: impl Into<String>,
+        sql: &str,
+        catalog: &crate::catalog::StreamCatalog,
+        output: FactoryOutput,
+    ) -> Result<WindowJoin> {
+        let (plan, _) = datacell_sql::compile_query(sql, catalog)?;
+        WindowJoin::from_plan(name, plan, catalog, output)
+    }
+
     /// Wire a compiled plan whose scans carry window clauses to its input
     /// baskets. Every consumed basket must be windowed (mixing `[RANGE ..]`
     /// sources with plain basket expressions in one query is rejected), and
@@ -327,7 +342,7 @@ impl WindowJoin {
         let snaps: Vec<(Chunk, u64)> = self
             .sides
             .iter()
-            .map(|s| s.basket.snapshot_for_reader(s.reader))
+            .map(|s| s.basket.snapshot_for_reader(s.reader, usize::MAX))
             .collect();
         let tuples_in: usize = snaps.iter().map(|(c, _)| c.len()).sum();
 
@@ -784,49 +799,60 @@ mod tests {
     /// Two concurrent steppers hit the identical code path, and with
     /// tumbling `[rows 1]` windows a double-ingest shows up as duplicated
     /// output rows (online steps never close an incomplete window, so the
-    /// full output is exactly predictable).
+    /// full output is exactly predictable). Covers the two-stream join and
+    /// the single-stream window, which run on the same engine.
     #[test]
     fn concurrent_step_inner_calls_ingest_exactly_once() {
         use std::thread;
-        let (cat, left, right, out) = setup();
-        let plan = compile(
-            &cat,
-            "select s1.k as k, s1.a as a, s2.b as b \
-             from s1 [rows 1] , s2 [rows 1] where s1.k = s2.k",
-        );
-        let wj = Arc::new(
-            WindowJoin::from_plan("wj", plan, &cat, FactoryOutput::Basket(Arc::clone(&out)))
-                .unwrap(),
-        );
-        const N: i64 = 256;
-        let stop = Arc::new(AtomicBool::new(false));
-        let steppers: Vec<_> = (0..2)
-            .map(|_| {
-                let wj = Arc::clone(&wj);
-                let stop = Arc::clone(&stop);
-                thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        wj.step(None).unwrap();
-                        thread::yield_now();
-                    }
+        for (sql, joined) in [
+            (
+                "select s1.k as k, s1.a as a, s2.b as b \
+                 from s1 [rows 1] , s2 [rows 1] where s1.k = s2.k",
+                true,
+            ),
+            (
+                "select s1.k as k, s1.a as a, s1.a as b from s1 [rows 1]",
+                false,
+            ),
+        ] {
+            let (cat, left, right, out) = setup();
+            let plan = compile(&cat, sql);
+            let wj = Arc::new(
+                WindowJoin::from_plan("wj", plan, &cat, FactoryOutput::Basket(Arc::clone(&out)))
+                    .unwrap(),
+            );
+            const N: i64 = 256;
+            let stop = Arc::new(AtomicBool::new(false));
+            let steppers: Vec<_> = (0..2)
+                .map(|_| {
+                    let wj = Arc::clone(&wj);
+                    let stop = Arc::clone(&stop);
+                    thread::spawn(move || {
+                        while !stop.load(Ordering::Relaxed) {
+                            wj.step(None).unwrap();
+                            thread::yield_now();
+                        }
+                    })
                 })
-            })
-            .collect();
-        for i in 0..N {
-            push(&left, &[(i, i)]);
-            push(&right, &[(i, i)]);
+                .collect();
+            for i in 0..N {
+                push(&left, &[(i, i)]);
+                if joined {
+                    push(&right, &[(i, i)]);
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            for s in steppers {
+                s.join().unwrap();
+            }
+            // Every window is complete by now, so this drains the remainder
+            // without closing anything early.
+            wj.flush(None).unwrap();
+            let mut rows = out_rows(&out);
+            rows.sort_unstable();
+            let expect: Vec<(i64, i64, i64)> = (0..N).map(|i| (i, i, i)).collect();
+            assert_eq!(rows, expect, "{sql}");
         }
-        stop.store(true, Ordering::Relaxed);
-        for s in steppers {
-            s.join().unwrap();
-        }
-        // Every window is complete by now, so this drains the remainder
-        // without closing anything early.
-        wj.flush(None).unwrap();
-        let mut rows = out_rows(&out);
-        rows.sort_unstable();
-        let expect: Vec<(i64, i64, i64)> = (0..N).map(|i| (i, i, i)).collect();
-        assert_eq!(rows, expect);
     }
 
     #[test]

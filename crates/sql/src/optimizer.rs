@@ -315,6 +315,7 @@ fn prune_to(plan: LogicalPlan, required: &[usize]) -> LogicalPlan {
                 }
             }
             needs.sort_unstable();
+            keep_cardinality(&mut needs, &input);
             let input = prune_to(*input, &needs);
             let pos = |c: usize| needs.iter().position(|&x| x == c).expect("collected above");
             LogicalPlan::Project {
@@ -380,6 +381,8 @@ fn prune_to(plan: LogicalPlan, required: &[usize]) -> LogicalPlan {
             }
             lneeds.sort_unstable();
             rneeds.sort_unstable();
+            keep_cardinality(&mut lneeds, &left);
+            keep_cardinality(&mut rneeds, &right);
             let new_left = prune_to(*left, &lneeds);
             let new_right = prune_to(*right, &rneeds);
             let lpos = |c: usize| lneeds.iter().position(|&x| x == c).expect("left col");
@@ -421,6 +424,8 @@ fn prune_to(plan: LogicalPlan, required: &[usize]) -> LogicalPlan {
             }
             lneeds.sort_unstable();
             rneeds.sort_unstable();
+            keep_cardinality(&mut lneeds, &left);
+            keep_cardinality(&mut rneeds, &right);
             let crossed = LogicalPlan::Cross {
                 left: Box::new(prune_to(*left, &lneeds)),
                 right: Box::new(prune_to(*right, &rneeds)),
@@ -459,6 +464,7 @@ fn prune_to(plan: LogicalPlan, required: &[usize]) -> LogicalPlan {
                 }
             }
             needs.sort_unstable();
+            keep_cardinality(&mut needs, &input);
             let inner = prune_to(*input, &needs);
             let pos = |c: usize| needs.iter().position(|&x| x == c).expect("agg col");
             let produced: Vec<usize> = (0..n_group)
@@ -508,6 +514,15 @@ fn prune_to(plan: LogicalPlan, required: &[usize]) -> LogicalPlan {
         LogicalPlan::ConstRow { exprs } => LogicalPlan::ConstRow {
             exprs: required.iter().map(|&i| exprs[i].clone()).collect(),
         },
+    }
+}
+
+/// A child asked for no columns (a lone `count(*)`, a constant projection,
+/// one side of a key-less cross product) still has to report how many rows
+/// it holds, and a zero-width chunk has length 0: keep its first column.
+fn keep_cardinality(needs: &mut Vec<usize>, child: &LogicalPlan) {
+    if needs.is_empty() && !child.schema().is_empty() {
+        needs.push(0);
     }
 }
 

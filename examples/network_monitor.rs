@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use datacell::factory::{Factory, FactoryOutput};
 use datacell::scheduler::SchedulePolicy;
-use datacell::window::{ReEvalWindow, WindowSpec};
+use datacell::window_join::WindowJoin;
 use datacell::DataCell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,15 +76,10 @@ fn main() {
 
         // Query 3: tumbling-window byte counts per 1000 packets, on a
         // private copy of the stream (window processing, §3.1).
-        let window = ReEvalWindow::new(
+        let window = WindowJoin::compile(
             "volume_window",
-            "select sum(p.bytes) as total from [select * from packets_w] as p",
+            "select sum(p.bytes) as total from packets_w as p [rows 1000]",
             &cat,
-            cat.basket("packets_w").unwrap(),
-            WindowSpec::Count {
-                size: 1000,
-                slide: 1000,
-            },
             FactoryOutput::Basket(cat.basket("volumes").unwrap()),
         )
         .unwrap();

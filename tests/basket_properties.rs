@@ -154,7 +154,7 @@ proptest! {
                 Op::AuxSnapshotCommit(r) => {
                     let aux = &mut auxes[r];
                     if aux.live && aux.inflight.is_empty() {
-                        let (_chunk, end) = b.snapshot_for_reader(aux.id);
+                        let (_chunk, end) = b.snapshot_for_reader(aux.id, usize::MAX);
                         b.commit_reader(aux.id, end);
                     }
                 }
@@ -231,7 +231,7 @@ proptest! {
             prop_assert!(b.len() <= cap, "ShedOldest bound is strict");
             match i % 4 {
                 0 => {
-                    let (_, end) = b.snapshot_for_reader(reader);
+                    let (_, end) = b.snapshot_for_reader(reader, usize::MAX);
                     b.commit_reader(reader, end);
                 }
                 1 => {
@@ -273,7 +273,7 @@ fn exclusive_consumption_is_oid_anchored_under_mid_step_shed() {
     b.append_rows(&rows).unwrap();
 
     // The factory step starts: snapshot anchored at the current head oid.
-    let (snap, base) = b.snapshot_anchored();
+    let (snap, anchor) = b.snapshot_exclusive(usize::MAX);
     assert_eq!(values_of(&snap), vec![0, 1, 2, 3]);
 
     // Mid-step, a receptor appends past capacity: tuples 0 and 1 shed.
@@ -287,8 +287,8 @@ fn exclusive_consumption_is_oid_anchored_under_mid_step_shed() {
     // *current* positions {0,1,2} = tuples 2, 3, 4 — eating tuple 4, which
     // the step never saw, and keeping tuple 3's fate wrong both ways.
     let removed = b
-        .consume_anchored(
-            base,
+        .consume_exclusive(
+            &anchor,
             &datacell_bat::candidates::Candidates::from_positions(vec![0, 1, 2]).unwrap(),
         )
         .unwrap();
@@ -301,14 +301,14 @@ fn exclusive_consumption_is_oid_anchored_under_mid_step_shed() {
 
     // The drain-inputs path (terminal cascade stages) anchors the same
     // way: draining the old snapshot deletes only its survivors.
-    let (snap2, base2) = b.snapshot_anchored();
+    let (snap2, anchor2) = b.snapshot_exclusive(usize::MAX);
     assert_eq!(values_of(&snap2), vec![3, 4, 5]);
     b.append_rows(&[vec![Value::Int(6)], vec![Value::Int(7)]])
         .unwrap(); // 3 + 2 > capacity 4: sheds tuple 3
     assert_eq!(values_of(&b.snapshot()), vec![4, 5, 6, 7]);
     let removed = b
-        .consume_anchored(
-            base2,
+        .consume_exclusive(
+            &anchor2,
             &datacell_bat::candidates::Candidates::all(snap2.len()),
         )
         .unwrap();

@@ -8,7 +8,8 @@ use datacell::catalog::StreamCatalog;
 use datacell::factory::FactoryOutput;
 use datacell::scheduler::{Scheduler, Transition};
 use datacell::strategy::{deploy, RangeQuery, Strategy};
-use datacell::window::{BasicWindowAgg, ReEvalWindow, WindowSpec};
+use datacell::window::BasicWindowAgg;
+use datacell::window_join::WindowJoin;
 use datacell_bat::aggregate::AggFunc;
 use datacell_bat::types::{DataType, Value};
 use datacell_sql::Schema;
@@ -108,12 +109,10 @@ proptest! {
         let inc_out = cat
             .create_basket("io", Schema::new(vec![("value".into(), DataType::Int)]))
             .unwrap();
-        let re = ReEvalWindow::new(
+        let re = WindowJoin::compile(
             "re",
-            "select sum(s.v) as value from [select * from w] as s",
+            &format!("select sum(w.v) as value from w [rows {size} slide {slide}]"),
             &cat,
-            Arc::clone(&re_in),
-            WindowSpec::Count { size, slide },
             FactoryOutput::Basket(Arc::clone(&re_out)),
         )
         .unwrap();

@@ -133,17 +133,45 @@ fn spilled_claims_survive_rewind_and_commit_exactly_once() {
 
 #[test]
 fn exclusive_snapshot_stitches_spilled_head_back() {
-    // Exclusive consumers (factories) see the whole logical content: the
-    // spilled head is re-materialized for their anchored snapshots.
+    // Exclusive consumers (factories, one-shot queries) see the whole
+    // logical content: the spilled head is stitched into the snapshot
+    // chunk, while the basket keeps it on disk.
     let dir = TempDir::new("spill-exclusive");
     let (basket, store) = spill_basket(&dir, 10);
     push_ints(&basket, 0..100);
     assert!(basket.resident_len() <= 10);
-    let (chunk, base) = basket.snapshot_anchored();
+    let resident = basket.resident_len();
+    let (chunk, anchor) = basket.snapshot_exclusive(usize::MAX);
     assert_eq!(ints_of(&chunk), (0..100).collect::<Vec<i64>>());
-    assert_eq!(base, 0);
-    assert_eq!(basket.resident_len(), 100, "unspilled into memory");
+    assert_eq!(basket.resident_len(), resident, "nothing unspilled");
+    // Consuming the whole snapshot deletes the segment files.
+    let removed = basket
+        .consume_exclusive(
+            &anchor,
+            &datacell_bat::candidates::Candidates::all(chunk.len()),
+        )
+        .unwrap();
+    assert_eq!(removed, 100);
+    assert!(basket.is_empty());
     assert_eq!(store.metrics_snapshot().bytes_on_disk, 0, "files deleted");
+}
+
+#[test]
+fn snapshot_of_spilled_basket_keeps_the_memory_ceiling() {
+    // A plain `snapshot()` (one-shot inspection, tests, tooling) returns
+    // the whole logical stream without re-materializing the spilled head:
+    // residency and the on-disk part stay exactly as they were.
+    let dir = TempDir::new("spill-snapshot");
+    let (basket, _store) = spill_basket(&dir, 10);
+    push_ints(&basket, 0..100);
+    let (resident, spilled) = (basket.resident_len(), basket.spilled_len());
+    assert!(resident <= 10);
+    assert_eq!(resident + spilled, 100);
+    for _ in 0..2 {
+        assert_eq!(ints_of(&basket.snapshot()), (0..100).collect::<Vec<i64>>());
+        assert_eq!(basket.resident_len(), resident, "memory ceiling held");
+        assert_eq!(basket.spilled_len(), spilled, "spilled head untouched");
+    }
 }
 
 #[test]

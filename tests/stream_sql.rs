@@ -113,3 +113,27 @@ fn explain_shows_reused_optimizer_plan() {
         other => panic!("unexpected {other:?}"),
     }
 }
+
+/// A lone `count(*)` references no column, and projection pruning used to
+/// narrow its input to a zero-width chunk — whose length reads 0 — so the
+/// count came back 0 over tables, filtered tables and baskets alike.
+#[test]
+fn lone_count_star_counts_rows() {
+    let cell = DataCell::new();
+    cell.execute("create table t (a int)").unwrap();
+    cell.execute("insert into t values (1), (2), (3)").unwrap();
+    cell.execute("create basket b (a int)").unwrap();
+    cell.execute("insert into b values (1), (2), (3)").unwrap();
+    let count = |sql: &str| cell.query(sql).unwrap().row(0).unwrap()[0].clone();
+    assert_eq!(count("select count(*) from t"), Value::Int(3));
+    assert_eq!(count("select count(*) from t where a > 1"), Value::Int(2));
+    assert_eq!(count("select count(*), sum(a) from t"), Value::Int(3));
+    assert_eq!(count("select count(*) from b"), Value::Int(3));
+    assert_eq!(
+        count("select count(*) from [select * from b] as s"),
+        Value::Int(3)
+    );
+    assert!(cell.basket("b").unwrap().is_empty(), "basket consumed");
+    // Constant projections keep their input's cardinality too.
+    assert_eq!(cell.query("select 7 from t").unwrap().len(), 3);
+}

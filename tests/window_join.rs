@@ -314,7 +314,7 @@ fn drr_budgeted_firings_compose() {
 }
 
 /// The README's alias-form example registers and runs (window spec after
-/// the alias, time windows, explicit flush).
+/// the alias, a single-stream window, time windows, explicit flush).
 #[test]
 fn readme_example_alias_form() {
     let cell = DataCell::new();
@@ -322,6 +322,11 @@ fn readme_example_alias_form() {
         .unwrap();
     cell.execute("create basket quotes (sym int, bid int)")
         .unwrap();
+    cell.execute(
+        "create continuous query vol as \
+         select sum(t.px) as total from trades t [rows 100 slide 50]",
+    )
+    .unwrap();
     cell.execute(
         "create continuous query spread as \
          select t.sym as sym, t.px as px, q.bid as bid \
@@ -336,6 +341,11 @@ fn readme_example_alias_form() {
     let mut got = out_rows(&cell, "spread");
     got.sort_unstable();
     assert_eq!(got, vec![(1, 101, 99), (2, 205, 204)]);
+    // The one-stream window: its first window is partial until flushed.
+    let vol = cell.query_output("vol").unwrap();
+    assert!(vol.is_empty());
+    cell.flush_query("vol").unwrap();
+    assert_eq!(vol.snapshot().columns[0].as_ints().unwrap(), &[306]);
 }
 
 // ---------------- differential property ----------------
